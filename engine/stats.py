@@ -262,10 +262,16 @@ def q_acctbal_moments_by_nation(sf_dir: str):
     name_of = dict(zip(nat["n_nationkey"].to_pylist(),
                        nat["n_name"].to_pylist()))
 
+    known = pa.array(list(name_of), type=pa.int64())
+
     def partial(t: pa.Table) -> pa.Table:
+        keys = pc.cast(t["c_nationkey"], pa.int64())
+        # the oracle's inner join drops customers whose key is null or not
+        # in nation
+        matched = pc.is_in(keys, value_set=known)
+        t, keys = t.filter(matched), keys.filter(matched)
         cents = _cents(t["c_acctbal"])
-        nk = pc.cast(t["c_nationkey"], pa.int64()) \
-            .to_numpy(zero_copy_only=False)
+        nk = keys.to_numpy(zero_copy_only=False)
         # vectorized key -> name: factorize the small key domain once
         uniq, inv = np.unique(nk, return_inverse=True)
         names = pa.array([name_of[int(k)] for k in uniq],

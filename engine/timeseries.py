@@ -397,6 +397,27 @@ FROM lineitem CROSS JOIN (
 _UNNEST_K = 8
 
 
+def _unnest_embeddings(t: pa.Table) -> pa.Table:
+    """One block of :func:`q_embedding_unnest`."""
+    col = t["embedding"].combine_chunks()
+    vid = pc.cast(t["vec_id"], pa.int64()).to_numpy(zero_copy_only=False)
+    offs = col.offsets.to_numpy(zero_copy_only=False)
+    lens = np.diff(offs).astype(np.int64)
+    # flatten() skips the values a null entry's offsets still span, and
+    # unnest(NULL) yields no rows: a null entry has length 0
+    lens[col.is_null().to_numpy(zero_copy_only=False)] = 0
+    flat = col.flatten().to_numpy(zero_copy_only=False).astype(np.float64)
+    starts = np.concatenate(([0], np.cumsum(lens[:-1]))) \
+        if len(lens) else np.array([], dtype=np.int64)
+    pos = np.arange(len(flat), dtype=np.int64) - np.repeat(starts, lens)
+    keep = pos < _UNNEST_K
+    return pa.table({
+        "vec_id": pa.array(np.repeat(vid, lens)[keep]),
+        "pos": pa.array(pos[keep]),
+        "val_micro": pa.array(
+            np.floor(flat[keep] * 1_000_000.0 + 0.5).astype(np.int64))})
+
+
 def q_embedding_unnest(sf_dir: str):
     """UNNEST of the embedding ``list<float>`` column with ordinality
     (first ``_UNNEST_K`` components): the list-column explode every
@@ -404,31 +425,10 @@ def q_embedding_unnest(sf_dir: str):
     — values come from ``ListArray.flatten()``, positions from pure
     offset arithmetic (arange minus repeated starts), no per-row Python.
     A stateless map; output bounded by K x input rows per block."""
-
-    def un(t: pa.Table) -> pa.Table:
-        col = t["embedding"].combine_chunks()
-        vid = pc.cast(t["vec_id"], pa.int64()).to_numpy(
-            zero_copy_only=False)
-        offs = col.offsets.to_numpy(zero_copy_only=False)
-        lens = np.diff(offs).astype(np.int64)
-        flat = col.flatten().to_numpy(zero_copy_only=False) \
-            .astype(np.float64)
-        starts = np.concatenate(([0], np.cumsum(lens[:-1]))) \
-            if len(lens) else np.array([], dtype=np.int64)
-        pos = np.arange(len(flat), dtype=np.int64) \
-            - np.repeat(starts, lens)
-        keep = pos < _UNNEST_K
-        return pa.table({
-            "vec_id": pa.array(np.repeat(vid, lens)[keep]),
-            "pos": pa.array(pos[keep]),
-            "val_micro": pa.array(
-                np.floor(flat[keep] * 1_000_000.0 + 0.5)
-                .astype(np.int64))})
-
     return read_parquet_clean(
         os.path.join(sf_dir, "embeddings.parquet"),
         columns=["vec_id", "embedding"]) \
-        .map_batches(un, batch_format="pyarrow")
+        .map_batches(_unnest_embeddings, batch_format="pyarrow")
 
 
 SQL_EMBEDDING_UNNEST = """

@@ -319,3 +319,186 @@ def test_corpus_cli_round_trip(ray_session, tmp_path):
         f"select count(*), min(doc_id), max(doc_id) "
         f"from '{back}/documents.parquet/*.parquet'").fetchall()[0]
     assert (n, lo, hi) == (500, 0, 499)
+
+
+# ---------------------------------------------------------------------------
+# parse_hex_file (vectorized) == the per-packet path, table for table
+# ---------------------------------------------------------------------------
+
+def _per_packet_table(stem: str, data: bytes) -> pa.Table:
+    """Reference: every ``split_packets`` block of the decoded file through
+    ``parse_hex_packet`` and ``packet_to_tokens``, one row per block."""
+    cols = {k: [] for k in ("doc_id", "tokens", "n_tok", "source",
+                            "declared_len", "payload_nbytes", "ingest_error")}
+    content = data.decode("utf-8", errors="replace")
+    for i, block in enumerate(sources.split_packets(content)):
+        p = sources.parse_hex_packet(block)
+        row, nb = [], 0
+        if p["error"] in (sources.INGEST_OK, sources.INGEST_LENGTH_MISMATCH):
+            row = sources.packet_to_tokens(p["header"], p["payload"])
+            nb = max(len(p["payload"]) - 4, 0)
+        for k, v in (("doc_id", f"{stem}#{i}"), ("tokens", row),
+                     ("n_tok", len(row)), ("source", stem),
+                     ("declared_len", p.get("declared")),
+                     ("payload_nbytes", nb), ("ingest_error", p["error"])):
+            cols[k].append(v)
+    return pa.table({
+        "doc_id": pa.array(cols["doc_id"], type=pa.string()),
+        "tokens": pa.array(cols["tokens"], type=pa.list_(pa.int32())),
+        "n_tok": pa.array(cols["n_tok"], type=pa.int32()),
+        "source": pa.array(cols["source"], type=pa.string()),
+        "declared_len": pa.array(cols["declared_len"], type=pa.int64()),
+        "payload_nbytes": pa.array(cols["payload_nbytes"], type=pa.int32()),
+        "ingest_error": pa.array(cols["ingest_error"], type=pa.int8()),
+    })
+
+
+def _assert_matches_per_packet(data: bytes, stem: str = "dev-07") -> pa.Table:
+    got = sources.parse_hex_file(stem, data)
+    want = _per_packet_table(stem, data)
+    assert got.schema == want.schema
+    assert got.equals(want), (data[:300], got.to_pylist()[:4],
+                              want.to_pylist()[:4])
+    return got
+
+
+_GOOD = sources.render_hex_packet([0x3A11, 1, 7, 99, 5, -1, 2**31 - 1, -2**31])
+_LEN = "Length: 32"
+_HDR = "0F 00 11 3A 01 00 00 00 02 00 00 00"
+
+ADVERSARIAL = {
+    "bad_hex_header": "Length: 7\nHeader: ZZ\nPayload:\n00\n",
+    "lowercase_header": _GOOD.replace("Header:", "header:"),
+    "lowercase_payload": _GOOD.replace("Payload:", "payload:"),
+    "uppercase_length": _GOOD.replace("Length:", "LENGTH:"),
+    "odd_header_nibbles": _GOOD.replace("Header: 20", "Header: 2"),
+    "odd_payload_nibbles": _GOOD[:-2] + "\n",
+    "header_11_bytes": f"Length: 15\nHeader: {_HDR[:-3]}\nPayload:\n01 00 00 00\n",
+    "header_13_bytes": f"Length: 17\nHeader: {_HDR} 07\nPayload:\n01 00 00 00\n",
+    "empty_payload": f"Length: 12\nHeader: {_HDR}\nPayload:\n",
+    "blank_payload": f"Length: 12\nHeader: {_HDR}\nPayload:\n \n\t\n",
+    "payload_1_byte": f"Length: 13\nHeader: {_HDR}\nPayload:\n01\n",
+    "payload_2_bytes": f"Length: 14\nHeader: {_HDR}\nPayload:\n01 02\n",
+    "payload_3_bytes": f"Length: 15\nHeader: {_HDR}\nPayload:\n01 02 03\n",
+    "payload_4_bytes": f"Length: 16\nHeader: {_HDR}\nPayload:\n01 00 00 00\n",
+    "payload_5_bytes": f"Length: 17\nHeader: {_HDR}\nPayload:\n01 00 00 00 FF\n",
+    "length_mismatch": _GOOD.replace(_LEN, "Length: 33"),
+    "length_payload_only": _GOOD.replace(_LEN, "Length: 20"),
+    "length_no_digits": _GOOD.replace(_LEN, "Length: "),
+    "length_trailing_junk": _GOOD.replace(_LEN, _LEN + " bytes"),
+    "length_two_numbers": _GOOD.replace(_LEN, _LEN + " 20"),
+    "length_19_digits": _GOOD.replace(_LEN, "Length: " + "0" * 17 + "32"),
+    "length_unicode_digits": _GOOD.replace(_LEN, "Length: \u0663\u0662"),
+    "length_wide_field": _GOOD.replace(_LEN, "Length:" + " " * 40 + "32"),
+    "crlf": _GOOD.replace("\n", "\r\n"),
+    "tabs": _GOOD.replace(" ", "\t"),
+    "file_separator_ws": _GOOD.replace(" ", "\x1c"),
+    "nbsp_ws": _GOOD.replace(" ", "\u00a0"),
+    "no_whitespace": "".join(_GOOD.split()),
+    "lowercase_hex": _GOOD.replace("FF", "ff").replace("7F", "7f"),
+    "two_headers": _GOOD.replace("Payload:", f"Header: {_HDR}\nPayload:"),
+    "payload_before_header": f"Length: 16\nPayload:\n01 00 00 00\nHeader: {_HDR}\n",
+    "header_only": f"Length: 12\nHeader: {_HDR}\n",
+    "junk_in_payload": _GOOD.replace("Payload:\n", "Payload:\n01 xx "),
+    "junk_between_fields": _GOOD.replace("Header:", "# note\nHeader:"),
+    "junk_before_first_length": "capture 2024 Header: AA\n" + _GOOD,
+    "empty_file": "",
+    "no_length": f"Header: {_HDR}\nPayload:\n01 00 00 00\n",
+}
+ADVERSARIAL_BYTES = {
+    "invalid_utf8_payload": _GOOD.encode().replace(b"Payload:\n", b"Payload:\n\xff\xfe"),
+    "invalid_utf8_header": _GOOD.encode().replace(b"Header: ", b"Header: \xc3"),
+    "invalid_utf8_between": _GOOD.encode() + b"\x80\xe2\x82" + _GOOD.encode(),
+    "utf8_bom": b"\xef\xbb\xbf" + _GOOD.encode(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ADVERSARIAL) + sorted(ADVERSARIAL_BYTES))
+def test_parse_hex_file_adversarial_blocks(name):
+    """Each adversarial block alone and between canonical packets: the
+    vectorized parse equals the per-packet path."""
+    case = ADVERSARIAL_BYTES.get(name)
+    case = ADVERSARIAL[name].encode() if case is None else case
+    good = _GOOD.encode()
+    assert case != good
+    _assert_matches_per_packet(case)
+    t = _assert_matches_per_packet(good + case + b"\n" + good)
+    assert t["ingest_error"][-1].as_py() == sources.INGEST_OK
+
+
+def test_parse_hex_file_matches_reference_rows(sf_small):
+    """Fixture token rows rendered to one file, plus 4-token rows (their
+    payload is only the version word)."""
+    t = pads.dataset(f"{sf_small}/sequences").to_table()
+    rows = [tk for tk in t["tokens"].to_pylist() if len(tk) >= 4]
+    rows[5:5] = [[0x2001, 1, 5, 6], [0x3A11, -1, -2**31, 2**31 - 1]]
+    got = _assert_matches_per_packet(
+        "\n".join(sources.render_hex_packet(tk) for tk in rows).encode())
+    assert got["tokens"].to_pylist() == rows
+    assert set(got["ingest_error"].to_pylist()) == {sources.INGEST_OK}
+
+
+_PIECES = [b"Z", b"0", b"a", b"F", b" ", b"\t", b"\n", b"\r\n", b"\x1c",
+           b"\xff", b"\xc3", b"\xc3\xa9", b":", b"12", b"Length:", b"Header:",
+           b"Payload:", b"header:", b"payload:", b"Length: 16\n"]
+
+
+def test_parse_hex_file_property():
+    """Random token rows (4-token rows included), random corruptions and
+    small chunk bounds (so cuts, and blocks longer than a chunk, occur):
+    the vectorized parse equals the per-packet path."""
+    from unittest import mock
+    from hypothesis import given, settings, strategies as st
+
+    rows = st.lists(st.lists(st.integers(-2**31, 2**31 - 1),
+                             min_size=4, max_size=12), max_size=8)
+    edit = st.tuples(st.sampled_from(("insert", "delete", "replace")),
+                     st.integers(0, 10**6), st.sampled_from(_PIECES))
+
+    @settings(max_examples=400, deadline=None)
+    @given(rows=rows, sep=st.sampled_from(["\n", "", "\r\n", "\n\n "]),
+           edits=st.lists(edit, max_size=4),
+           chunk=st.sampled_from([sources._CHUNK_BYTES, 200, 64]))
+    def check(rows, sep, edits, chunk):
+        data = bytearray(sep.join(sources.render_hex_packet(r)
+                                  for r in rows).encode())
+        for kind, at, piece in edits:
+            at %= len(data) + 1
+            if kind == "insert":
+                data[at:at] = piece
+            elif kind == "delete":
+                del data[at:at + len(piece)]
+            else:
+                data[at:at + len(piece)] = piece
+        with mock.patch.object(sources, "_CHUNK_BYTES", chunk):
+            _assert_matches_per_packet(bytes(data))
+
+    check()
+
+
+def test_parse_hex_file_chunk_boundaries():
+    """A file over the chunk bound, with a malformed block straddling the
+    chunk edge and one block longer than a whole chunk: same table as the
+    per-packet path, doc ids ``#0..#N-1`` with no gap or restart."""
+    rng = np.random.default_rng(4)
+    blocks = [sources.render_hex_packet(
+        rng.integers(-2**31, 2**31, int(rng.integers(4, 40))).tolist())
+        for _ in range(9000)]
+    starts = np.cumsum([0] + [len(b) + 1 for b in blocks])
+    assert starts[-1] > sources._CHUNK_BYTES
+    k = int(np.searchsorted(starts, sources._CHUNK_BYTES)) - 1
+    assert starts[k] < sources._CHUNK_BYTES < starts[k + 1]
+    blocks[k] = blocks[k].replace("Header: ", "Header: Z")
+    big = sources.render_hex_packet(list(range(sources._CHUNK_BYTES // 8)))
+    assert len(big) > sources._CHUNK_BYTES
+    blocks.insert(k + 3, big)
+    data = "\n".join(blocks).encode()
+    assert len(list(sources._chunks(data))) >= 3
+
+    got = _assert_matches_per_packet(data)
+    n = len(blocks)
+    assert got["doc_id"].to_pylist() == [f"dev-07#{i}" for i in range(n)]
+    errs = got["ingest_error"].to_numpy()
+    assert errs[k] == sources.INGEST_MALFORMED
+    assert (np.delete(errs, k) == sources.INGEST_OK).all()
+    assert got["n_tok"][k + 3].as_py() == 4 + sources._CHUNK_BYTES // 8 - 4

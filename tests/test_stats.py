@@ -9,6 +9,8 @@ split survives squared terms that would overflow a naive int64 batch
 sum.
 """
 
+import os
+
 import duckdb
 import numpy as np
 import pyarrow as pa
@@ -156,3 +158,29 @@ def test_fold_rows_driver_bound(ray_session):
     # and the partial pre-shrink really shrank: far fewer fold rows than
     # the 6k-row fixture events table
     assert s["fold_rows"] < 1000
+
+
+def test_acctbal_moments_drop_orphan_nation_keys(ray_session, tmp_path):
+    """A customer whose c_nationkey is missing from nation (or null) drops
+    out, as in the oracle SQL's inner join, instead of raising."""
+    import pyarrow.parquet as pq
+    from engine.extras import EXTRA_ORACLE_SQL
+    tmp = str(tmp_path)
+    pq.write_table(pa.table({
+        "c_custkey": pa.array([1, 2, 3, 4, 5], pa.int64()),
+        "c_nationkey": pa.array([0, 1, 0, 9, None], pa.int32()),
+        "c_acctbal": pa.array([10.5, -3.25, 7.0, 123.45, 8.0]),
+    }), os.path.join(tmp, "customer.parquet"))
+    pq.write_table(pa.table({
+        "n_nationkey": pa.array([0, 1, 2], pa.int32()),
+        "n_name": ["ALGERIA", "ARGENTINA", "BRAZIL"],
+    }), os.path.join(tmp, "nation.parquet"))
+    got = stats.q_acctbal_moments_by_nation(tmp)
+    c = duckdb.connect()
+    for t in ("customer", "nation"):
+        c.execute(f"CREATE VIEW {t} AS SELECT * FROM "
+                  f"read_parquet('{tmp}/{t}.parquet')")
+    want = c.sql(EXTRA_ORACLE_SQL["acctbal_moments_by_nation"]).arrow()
+    assert got.sort_by("n_name").to_pylist() == \
+        want.sort_by("n_name").to_pylist()
+    assert got["n_name"].to_pylist() == ["ALGERIA", "ARGENTINA"]

@@ -77,3 +77,25 @@ def test_cube_sentinels_consistent(ray_session, ev_dir):
         "click": 4, "purchase": 1}
     base = df[(df.event_type != "ALL") & (df.day_us != -1)]
     assert base["cnt"].sum() == 5
+
+
+def test_embedding_unnest_skips_null_entries_with_spans():
+    """A null embedding whose offsets still span values (legal, non-canonical
+    Arrow) unnests to no rows, like DuckDB's unnest(NULL), and the rows
+    after it keep their own positions and values."""
+    import duckdb
+    from engine.timeseries import SQL_EMBEDDING_UNNEST, _unnest_embeddings
+    values = pa.array(np.arange(1, 13) / 8.0, pa.float32())
+    emb = pa.ListArray.from_arrays(
+        pa.array([0, 3, 7, 9, 12], pa.int32()), values,
+        mask=pa.array([False, True, False, False]))
+    assert emb.null_count == 1 and emb.offsets[2].as_py() == 7
+    embeddings = pa.table({"vec_id": pa.array([10, 11, 12, 13], pa.int64()),
+                           "embedding": emb})
+    got = _unnest_embeddings(embeddings)
+    want = duckdb.sql(SQL_EMBEDDING_UNNEST).arrow()
+    key = ["vec_id", "pos"]
+    assert got.sort_by([(k, "ascending") for k in key]).to_pylist() == \
+        want.sort_by([(k, "ascending") for k in key]).to_pylist()
+    assert 11 not in got["vec_id"].to_pylist()
+    assert got.num_rows == 3 + 2 + 3
