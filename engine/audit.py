@@ -146,50 +146,56 @@ def splitmix64(x: np.ndarray) -> np.ndarray:
     return z
 
 
-def q_table_checksum_fast(sf_dir: str):
-    """Integer-content checksum of orders, md5-free: per row
-    ``splitmix64(okey) ^ rot(splitmix64(ckey)) ^ rot2(splitmix64(epoch))``
-    summed per priority in uint64 (wrap-around sum is commutative, so
-    order/layout independence holds exactly) — the at-scale twin of
-    :func:`q_table_checksum`.  Rows-only; pinned by property tests."""
-    from engine.pipeline import collect_tables
+def _fast_row_hash(t: pa.Table) -> np.ndarray:
+    """Per-row uint64 digest of the fast twin."""
+    okey = pc.cast(t["o_orderkey"], pa.int64()).to_numpy(
+        zero_copy_only=False)
+    ckey = pc.cast(t["o_custkey"], pa.int64()).to_numpy(
+        zero_copy_only=False)
+    ep = t["o_orderdate"].to_numpy(zero_copy_only=False) \
+        .astype("datetime64[us]").astype(np.int64)
+    a = splitmix64(okey)
+    b = splitmix64(ckey)
+    c = splitmix64(ep)
+    # rotate the field lanes so field order matters per row while the
+    # per-row combine stays one uint64
+    return a ^ ((b << np.uint64(21)) | (b >> np.uint64(43))) \
+        ^ ((c << np.uint64(42)) | (c >> np.uint64(22)))
 
-    def partial(t: pa.Table) -> pa.Table:
-        okey = pc.cast(t["o_orderkey"], pa.int64()).to_numpy(
-            zero_copy_only=False)
-        ckey = pc.cast(t["o_custkey"], pa.int64()).to_numpy(
-            zero_copy_only=False)
-        ep = t["o_orderdate"].to_numpy(zero_copy_only=False) \
-            .astype("datetime64[us]").astype(np.int64)
-        a = splitmix64(okey)
-        b = splitmix64(ckey)
-        c = splitmix64(ep)
-        # rotate the field lanes so field order matters per row while the
-        # per-row combine stays one uint64
-        h = a ^ ((b << np.uint64(21)) | (b >> np.uint64(43))) \
-            ^ ((c << np.uint64(42)) | (c >> np.uint64(22)))
-        g = pa.TableGroupBy(
-            pa.table({"o_orderpriority": t["o_orderpriority"],
-                      "h": pa.array(h.view(np.int64))}),
-            ["o_orderpriority"]).aggregate([([], "count_all"),
-                                            ("h", "sum")])
-        return pa.table({
-            "o_orderpriority": g["o_orderpriority"],
-            "n": pc.cast(g["count_all"], pa.int64()),
-            "h": pc.cast(g["h_sum"], pa.int64())})
 
+def _fast_partial(t: pa.Table) -> pa.Table:
+    """Per-priority row count and digest sum of one batch.
+
+    The digest is summed as two 32-bit limbs in int64 columns, which
+    cannot overflow below 2^31 rows per batch; :func:`_fast_fold`
+    recombines them mod 2^64."""
+    h = _fast_row_hash(t)
+    g = pa.TableGroupBy(
+        pa.table({"o_orderpriority": t["o_orderpriority"],
+                  "h_lo": pa.array((h & np.uint64(0xFFFFFFFF))
+                                   .astype(np.int64)),
+                  "h_hi": pa.array((h >> np.uint64(32)).astype(np.int64))}),
+        ["o_orderpriority"]).aggregate([([], "count_all"),
+                                        ("h_lo", "sum"), ("h_hi", "sum")])
+    return pa.table({
+        "o_orderpriority": g["o_orderpriority"],
+        "n": pc.cast(g["count_all"], pa.int64()),
+        "h_lo": g["h_lo_sum"], "h_hi": g["h_hi_sum"]})
+
+
+def _fast_fold(partials) -> pa.Table:
+    """Fold :func:`_fast_partial` tables into the per-priority checksum
+    (the uint64 digest sum mod 2^64, reported as int64)."""
     acc: dict = {}
-    ds = _orders(sf_dir, ["o_orderkey", "o_custkey", "o_orderpriority",
-                          "o_orderdate"]) \
-        .map_batches(partial, batch_format="pyarrow", batch_size=None)
-    for b in collect_tables(ds):
+    for b in partials:
         if not b.num_columns:
             continue
         for r in b.to_pylist():
             prev = acc.get(r["o_orderpriority"], (0, 0))
             acc[r["o_orderpriority"]] = (
                 prev[0] + int(r["n"]),
-                (prev[1] + int(r["h"])) & 0xFFFFFFFFFFFFFFFF)
+                (prev[1] + int(r["h_lo"]) + (int(r["h_hi"]) << 32))
+                & 0xFFFFFFFFFFFFFFFF)
     keys = sorted(acc)
     return pa.table({
         "o_orderpriority": pa.array(keys, type=pa.string()),
@@ -197,3 +203,17 @@ def q_table_checksum_fast(sf_dir: str):
         "checksum": pa.array(
             [np.uint64(acc[k][1]).astype(np.int64) for k in keys],
             type=pa.int64())})
+
+
+def q_table_checksum_fast(sf_dir: str):
+    """Integer-content checksum of orders, md5-free: per row
+    ``splitmix64(okey) ^ rot(splitmix64(ckey)) ^ rot2(splitmix64(epoch))``
+    summed per priority mod 2^64 (wrap-around sum is commutative, so
+    order/layout independence holds exactly) — the at-scale twin of
+    :func:`q_table_checksum`.  Rows-only; pinned by property tests."""
+    from engine.pipeline import collect_tables
+
+    ds = _orders(sf_dir, ["o_orderkey", "o_custkey", "o_orderpriority",
+                          "o_orderdate"]) \
+        .map_batches(_fast_partial, batch_format="pyarrow", batch_size=None)
+    return _fast_fold(collect_tables(ds))

@@ -5,9 +5,11 @@ operation re-expressed as one numpy strided/bit operation over all rows of a
 batch at once.
 
 * bit extraction (``utils/byte_ops.py:31-66`` ``slice_bits``;
-  ``metadata_payload_parser.py:318-352`` ``_extract_bits``): per-field gather
-  of the minimal little-endian byte window, shift, mask — one vector op per
-  field per batch instead of one Python call per field per row;
+  ``metadata_payload_parser.py:318-352`` ``_extract_bits``): one unaligned
+  little-endian u64 load per row from an overlapping 8-byte window view of
+  the batch buffer (plus a ninth byte for fields that span nine), shift,
+  mask — one vector op per field per batch instead of one Python call per
+  field per row;
 * sign extension (``utils/type_converters.py:88-111``): ``where(v & sign,
   v - 2**n, v)``;
 * float reinterpret (``metadata_payload_parser.py:370-383``): numpy
@@ -22,7 +24,10 @@ batch at once.
 * clamp ``actual = min(logical, fits_in_payload)``
   (``metadata_payload_parser.py:231-236``) preserved bit-for-bit;
 * BLER derived fields (``decoder/field_post_processor.py:41-148``) as
-  vectorized arithmetic gated on msg_type 0xB888.
+  vectorized arithmetic gated on msg_type 0xB888; the ``"(Decoded)"``
+  ``"%.2f%%"`` strings are written digit by digit into one Arrow string
+  buffer, with values near a rounding tie, negative, ``>= 2**32`` hundredths
+  or non-finite formatted by Python ``%`` so the text is exact.
 
 Output Arrow dtypes (engine-wide convention): Uint8/16 -> int32,
 Uint32 -> int64, Uint64 -> uint64, Int<=32 -> int32, Int64 -> int64,
@@ -36,6 +41,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+from numpy.lib.stride_tricks import as_strided
 
 from engine.catalog import (
     CompiledLayout, HEADER_TOKENS, RecordSpec, compile_catalog,
@@ -99,21 +106,22 @@ def gather_bits(pad: np.ndarray, base_bytes: np.ndarray, off_bits: int,
                 length_bits: int) -> np.ndarray:
     """Extract ``length_bits`` at bit offset ``off_bits`` past each row base.
 
-    Little-endian window shift+mask per utils/byte_ops.py:31-66; reads the
-    minimal (shift+len+7)//8-byte window (<=9 bytes), so out-of-row garbage
-    beyond the field is masked off.  Callers mask validity separately.
+    Little-endian window shift+mask per utils/byte_ops.py:31-66.  Each row
+    is one unaligned u64 load from an overlapping 8-byte window view of
+    ``pad``; a field spanning 9 bytes ORs in the ninth.  Windows that would
+    run past the end of ``pad`` load from ``pad.size - 8`` and shift the
+    surplus low bytes out.  Bytes beyond the field are masked off; callers
+    mask validity separately.  ``pad`` must hold at least 8 bytes.
     """
     start = base_bytes + off_bits // 8
     shift = off_bits % 8
     nb = (shift + length_bits + 7) // 8
     np.clip(start, 0, pad.size - nb, out=start)
-    w = pad[start[:, None] + np.arange(nb)]
-    lo = np.zeros(len(start), dtype=np.uint64)
-    for b in range(min(nb, 8)):
-        lo |= w[:, b].astype(np.uint64) << _U64(8 * b)
-    v = lo >> _U64(shift)
+    win = as_strided(pad, (pad.size - 7, 8), (1, 1)).view("<u8")[:, 0]
+    load = np.minimum(start, pad.size - 8)
+    v = win[load] >> ((start - load) * 8 + shift).astype(np.uint64)
     if nb == 9:
-        v |= w[:, 8].astype(np.uint64) << _U64(64 - shift)
+        v |= pad[start + 8].astype(np.uint64) << _U64(64 - shift)
     if length_bits < 64:
         v &= _U64((1 << length_bits) - 1)
     return v
@@ -165,8 +173,58 @@ def _convert(raw: np.ndarray, type_name: str, length_bits: int):
     if length_bits <= 16:
         return raw.astype(np.int32), pa.int32()
     if length_bits <= 32 or type_name != "Uint64":
-        return raw.astype(np.int64) if length_bits > 31 else raw.astype(np.int64), pa.int64()
+        return raw.astype(np.int64), pa.int64()
     return raw, pa.uint64()
+
+
+#: powers of ten for the integer-part digit count in ``_pct_strings``
+#: (its fast path keeps integer parts below 2**32 / 100: at most 8 digits)
+_POW10 = 10 ** np.arange(1, 9, dtype=np.int64)
+
+
+def _pct_strings(pct: np.ndarray) -> pa.StringArray:
+    """``"%.2f%%" % x`` for every element, built as one Arrow string buffer.
+
+    Fast path: ``k``, the value rounded to integer hundredths, has its
+    digits scattered into a ``uint8`` buffer one digit position at a time.
+    Rounding ``h = pct * 100`` half-up equals Python's correctly rounded
+    ``%.2f`` whenever ``h`` is at least 1e-6 from a tie: below ``2**32`` the
+    multiply errs by at most 2**-21, so ``h`` and the exact ``100 * x`` lie
+    on the same side of every half-integer.  Near-ties, negatives (``-0.0``
+    included), ``h >= 2**32`` and non-finite values are formatted by Python
+    ``%`` and patched in."""
+    pct = np.asarray(pct, dtype=np.float64)
+    n = pct.size
+    with np.errstate(invalid="ignore", over="ignore"):
+        h = pct * 100.0
+        fl = np.floor(h)
+        frac = h - fl
+        fast = (np.isfinite(h) & ~np.signbit(h) & (h < 2.0 ** 32)
+                & (np.abs(frac - 0.5) >= 1e-6))
+    k = np.where(fast, fl, 0).astype(np.int64) + (fast & (frac >= 0.5))
+    ip, fp = np.divmod(k, 100)
+    nd = np.searchsorted(_POW10, ip, side="right") + 1
+    lens = np.where(fast, nd + 4, 0)
+    offsets = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(lens, out=offsets[1:])
+    buf = np.empty(int(offsets[-1]), dtype=np.uint8)
+    q, fp, nd = ip[fast], fp[fast], nd[fast]
+    at = offsets[:-1][fast] + nd  # position of the '.'
+    for j in range(int(nd.max()) if nd.size else 0):
+        has = nd > j
+        buf[at[has] - 1 - j] = 48 + q[has] % 10
+        q = q // 10
+    buf[at] = ord(".")
+    buf[at + 1] = 48 + fp // 10
+    buf[at + 2] = 48 + fp % 10
+    buf[at + 3] = ord("%")
+    out = pa.StringArray.from_buffers(n, pa.py_buffer(offsets),
+                                      pa.py_buffer(buf))
+    if fast.all():
+        return out
+    slow = ["%.2f%%" % x for x in pct[~fast].tolist()]
+    return pc.replace_with_mask(out, pa.array(~fast),
+                                pa.array(slow, type=pa.string()))
 
 
 def _enum_strings(raw: np.ndarray, enum: Dict[int, str],
@@ -362,11 +420,7 @@ class Decoder:
         total = pass_tb.astype(np.float64) + fail_tb.astype(np.float64)
         with np.errstate(invalid="ignore", divide="ignore"):
             pct = np.where(total > 0, numer.astype(np.float64) / np.where(total > 0, total, 1) * 100, 0.0)
-        vals = np.round(pct, 2)
-        if pct.size == 0:
-            return vals, np.empty(0, dtype=object)
-        strs = np.char.mod("%.2f%%", pct)
-        return vals, strs
+        return np.round(pct, 2), _pct_strings(pct)
 
     def _apply_bler(self, cols, scal_np, scal_valid, layout: CompiledLayout, rec_data):
         names = {s.name for s in layout.scalars}
@@ -377,7 +431,8 @@ class Decoder:
                                            scal_np["Num CRC Fail TB"])
             mask = None if valid.all() else ~valid
             cols["BLER"] = pa.array(vals, type=pa.float64(), mask=mask)
-            cols["BLER (Decoded)"] = pa.array(np.where(valid, strs, None), type=pa.string())
+            cols["BLER (Decoded)"] = strs if mask is None else pc.if_else(
+                pa.array(valid), strs, pa.scalar(None, pa.string()))
         if {"Residual BLER", "HARQ Failure", "Num CRC Pass TB", "Num CRC Fail TB"} <= names:
             valid = (scal_valid["Residual BLER"] & scal_valid["HARQ Failure"]
                      & scal_valid["Num CRC Pass TB"] & scal_valid["Num CRC Fail TB"])
@@ -386,7 +441,8 @@ class Decoder:
                                            scal_np["HARQ Failure"])
             mask = None if valid.all() else ~valid
             cols["Residual BLER"] = pa.array(vals, type=pa.float64(), mask=mask)
-            cols["Residual BLER (Decoded)"] = pa.array(np.where(valid, strs, None), type=pa.string())
+            cols["Residual BLER (Decoded)"] = strs if mask is None else pc.if_else(
+                pa.array(valid), strs, pa.scalar(None, pa.string()))
 
         # per-record variant: rebuild the list<struct> with derived children
         for rec in layout.records:
@@ -398,12 +454,12 @@ class Decoder:
             vals, strs = self._bler_arrays(raw["Num CRC Pass TB"], raw["Num CRC Fail TB"],
                                            raw["Num CRC Fail TB"])
             ch["BLER"] = pa.array(vals, type=pa.float64())
-            ch["BLER (Decoded)"] = pa.array(strs, type=pa.string())
+            ch["BLER (Decoded)"] = strs
             if {"Residual BLER", "HARQ Failure"} <= set(raw):
                 vals, strs = self._bler_arrays(raw["Num CRC Pass TB"], raw["Num CRC Fail TB"],
                                                raw["HARQ Failure"])
                 ch["Residual BLER"] = pa.array(vals, type=pa.float64())
-                ch["Residual BLER (Decoded)"] = pa.array(strs, type=pa.string())
+                ch["Residual BLER (Decoded)"] = strs
             struct = pa.StructArray.from_arrays(list(ch.values()), list(ch.keys()))
             cols[rec.name] = pa.ListArray.from_arrays(pa.array(meta["_offsets"]), struct)
 

@@ -218,7 +218,10 @@ class DecodeRouter:
     their own sink — the Ray-native form of the reference's per-logcode JSON
     outputs (``export/file_writer.py:14-76``) plus the dead-letter design of
     SURVEY 1.4.  Emits per-batch lineage + partial-aggregate rows instead of
-    data, so the downstream aggregate shuffles partials only.
+    data, so the downstream aggregate shuffles partials only.  Each sink is
+    one contiguous segment of the batch's single permutation take, so the
+    lineage is one group-by over ``(segment, source)`` per batch, not one
+    per sink.
 
     File naming ``part-<min doc_id>-<rows>.parquet`` is deterministic per
     batch content: task retries overwrite with identical bytes (idempotent
@@ -241,21 +244,32 @@ class DecodeRouter:
         _atomic_write(table, path)
         return path
 
-    def _lineage_rows(self, sink: str, msg_type: int, table: pa.Table,
-                      path: str, wall_ms: float):
+    def _lineage(self, env_all: pa.Table, segs) -> pa.Table:
+        """Lineage rows for every sink segment of ``env_all`` in one pass.
+
+        ``segs`` lists ``(sink, msg_type, path, wall_ms, rows)`` per
+        contiguous segment; one group-by over ``(seg, source)`` yields each
+        segment's per-source row count and ``n_tok`` sum, in segment (write)
+        order, then by source."""
         import pyarrow.compute as pc
-        g = pa.TableGroupBy(table.select(["source", "n_tok"]), "source").aggregate(
-            [("n_tok", "sum"), ("n_tok", "count")])
-        n = g.num_rows
+        sink, msg_type, path, wall_ms, rows = zip(*segs)
+        seg = np.repeat(np.arange(len(segs), dtype=np.int32), rows)
+        g = pa.TableGroupBy(
+            pa.table({"seg": seg, "source": env_all["source"],
+                      "n_tok": env_all["n_tok"]}),
+            ["seg", "source"], use_threads=False).aggregate(
+            [("n_tok", "sum"), ("n_tok", "count")]).sort_by(
+            [("seg", "ascending"), ("source", "ascending")])
+        idx = g["seg"]
         return pa.table({
-            "part": pa.array([self.part_tag] * n),
-            "sink": pa.array([sink] * n),
-            "msg_type": pa.array([msg_type] * n, type=pa.int32()),
+            "part": pa.array([self.part_tag] * g.num_rows),
+            "sink": pa.array(sink).take(idx),
+            "msg_type": pa.array(msg_type, type=pa.int32()).take(idx),
             "source": g["source"],
             "rows": pc.cast(g["n_tok_count"], pa.int64()),
             "sum_n_tok": pc.cast(g["n_tok_sum"], pa.int64()),
-            "path": pa.array([path] * n),
-            "batch_wall_ms": pa.array([wall_ms] * n, type=pa.float64()),
+            "path": pa.array(path).take(idx),
+            "batch_wall_ms": pa.array(wall_ms, type=pa.float64()).take(idx),
         }).cast(LINEAGE_SCHEMA)
 
     def __call__(self, t: pa.Table) -> pa.Table:
@@ -263,7 +277,7 @@ class DecodeRouter:
         t = t.combine_chunks()
         view = batch_view(t)
         err = t["error_code"].to_numpy()
-        out_lineage = []
+        segs = []
 
         import pyarrow.compute as pc
         cls = {"error_code": err,
@@ -294,8 +308,8 @@ class DecodeRouter:
                 [c for c in DEAD_LETTER_COLS if c in env_all.column_names])
             pos = bad.size
             path = self._write_sink("dead_letter", dl)
-            out_lineage.append(self._lineage_rows(
-                "dead_letter", -1, dl, path, (time.monotonic() - t0) * 1e3))
+            segs.append(("dead_letter", -1, path,
+                         (time.monotonic() - t0) * 1e3, bad.size))
 
         env_cols = [c for c in ENVELOPE_SINK_COLS if c in env_all.column_names]
         for mt, ver, rows in groups:
@@ -307,10 +321,10 @@ class DecodeRouter:
                 env = env.append_column(name, arr)
             sink = f"0x{mt:04X}"
             path = self._write_sink(os.path.join(f"msg_type={sink}", f"version={ver}"), env)
-            out_lineage.append(self._lineage_rows(
-                sink, mt, env, path, (time.monotonic() - t0) * 1e3))
+            segs.append((sink, mt, path, (time.monotonic() - t0) * 1e3,
+                         len(rows)))
 
-        return pa.concat_tables(out_lineage)
+        return self._lineage(env_all, segs)
 
 
 def decode_route_stage(ds, out_dir: str, part_tag: str = "p0000",

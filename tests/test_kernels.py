@@ -258,3 +258,141 @@ def test_string_decode_semantics_match_reference():
     dec = Decoder(compiled)
     cols = dec.decode_group(view, np.arange(len(toks)), layout)
     assert cols["S"].to_pylist() == [w for _, w in cases]
+
+
+# ---------------------------------------------------------------------------
+# BLER "(Decoded)" strings: buffer-built kernel vs Python "%.2f%%"
+# ---------------------------------------------------------------------------
+
+def _pct_want(xs):
+    return ["%.2f%%" % x for x in np.asarray(xs, dtype=np.float64).tolist()]
+
+
+def test_pct_strings_fixed_cases():
+    from engine.kernels import _pct_strings
+    xs = [0.005, 0.015, 0.125, 2.675, 1.005, 99.995, 12.5 / 100, 1 / 8 * 100,
+          3 / 16 * 100, 0.0, -0.0, 100.0, float("nan"), float("inf"),
+          float("-inf"), -0.001, -12.345, 2.0 ** 49, 2.0 ** 49 + 0.25, 1e20,
+          42949672.955, 42949672.96, 5e-324, 9.999999, 0.994999999]
+    got = _pct_strings(np.array(xs))
+    assert got.type == pa.string()
+    assert got.to_pylist() == _pct_want(xs)
+    assert _pct_strings(np.array([], dtype=np.float64)).to_pylist() == []
+
+
+def test_pct_strings_every_thousandth_tie_candidate():
+    """Every x.xx5 (and its neighbours one ulp away) up to 1000."""
+    from engine.kernels import _pct_strings
+    base = np.arange(0, 1_000_000, dtype=np.float64) / 1000.0
+    xs = np.concatenate([base, np.nextafter(base, np.inf),
+                         np.nextafter(base, -np.inf)])
+    assert _pct_strings(xs).to_pylist() == _pct_want(xs)
+
+
+def test_pct_strings_property():
+    from hypothesis import given, settings, strategies as st
+    from engine.kernels import _pct_strings
+
+    ratio = st.tuples(st.integers(0, 2 ** 32), st.integers(1, 2 ** 32)).map(
+        lambda ab: ab[0] / ab[1] * 100)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True)
+                    | st.floats(-1e3, 1e10) | ratio, max_size=40))
+    def check(xs):
+        assert _pct_strings(np.array(xs, dtype=np.float64)).to_pylist() \
+            == _pct_want(xs)
+
+    check()
+
+
+# ---------------------------------------------------------------------------
+# gather_bits: one-load kernel vs the per-byte window reference
+# ---------------------------------------------------------------------------
+
+def _gather_bits_bytewise(pad, base_bytes, off_bits, length_bits):
+    """Reference: gather the minimal nb-byte window, OR bytes one by one."""
+    start = base_bytes + off_bits // 8
+    shift = off_bits % 8
+    nb = (shift + length_bits + 7) // 8
+    np.clip(start, 0, pad.size - nb, out=start)
+    w = pad[start[:, None] + np.arange(nb)]
+    lo = np.zeros(len(start), dtype=np.uint64)
+    for b in range(min(nb, 8)):
+        lo |= w[:, b].astype(np.uint64) << np.uint64(8 * b)
+    v = lo >> np.uint64(shift)
+    if nb == 9:
+        v |= w[:, 8].astype(np.uint64) << np.uint64(64 - shift)
+    if length_bits < 64:
+        v &= np.uint64((1 << length_bits) - 1)
+    return v
+
+
+def test_gather_bits_matches_bytewise_reference_full_grid():
+    rng = np.random.default_rng(3)
+    pad = rng.integers(0, 256, size=96, dtype=np.uint8)
+    # every byte base, so the windows of the last rows reach (and are
+    # clipped to) the end of ``pad``
+    base = np.arange(pad.size, dtype=np.int64)
+    for off in range(64):
+        for ln in range(1, 65):
+            got = gather_bits(pad, base.copy(), off, ln)
+            want = _gather_bits_bytewise(pad, base.copy(), off, ln)
+            assert np.array_equal(got, want), (off, ln)
+
+
+def test_gather_bits_nine_byte_fields_and_buffer_end():
+    rng = np.random.default_rng(5)
+    for size in (8, 9, 17, 40):
+        pad = rng.integers(0, 256, size=size, dtype=np.uint8)
+        base = np.array([0, size - 9, size - 8, size - 1, size + 5],
+                        dtype=np.int64).clip(0)
+        for off in range(1, 8):      # shift > 0 and a 64-bit field: nb == 9
+            for ln in (57, 60, 64):
+                if (off % 8 + ln + 7) // 8 > size:
+                    continue
+                assert np.array_equal(
+                    gather_bits(pad, base.copy(), off, ln),
+                    _gather_bits_bytewise(pad, base.copy(), off, ln)), \
+                    (size, off, ln)
+        for ln in range(1, 9):       # short fields at the very last byte
+            assert np.array_equal(
+                gather_bits(pad, np.array([size - 1]), 0, ln),
+                _gather_bits_bytewise(pad, np.array([size - 1]), 0, ln))
+
+
+# ---------------------------------------------------------------------------
+# DecodeRouter lineage: one group-by per batch vs one per sink
+# ---------------------------------------------------------------------------
+
+def test_router_lineage_matches_per_sink_reference(sf_small, tmp_path):
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+    from engine import stages
+
+    t = stages.parse_batch(
+        pads.dataset(f"{sf_small}/sequences").to_table())
+    assert pc.sum(pc.not_equal(t["error_code"], 0)).as_py() > 0
+    lin = stages.DecodeRouter(str(tmp_path), "p0007")(t)
+    assert lin.schema == stages.LINEAGE_SCHEMA
+    assert len(set(lin["sink"].to_pylist())) > 3
+
+    def per_sink(sink, msg_type, table, path):
+        g = pa.TableGroupBy(table.select(["source", "n_tok"]), "source") \
+            .aggregate([("n_tok", "sum"), ("n_tok", "count")])
+        return [("p0007", sink, msg_type, s, c, n, path) for s, n, c in zip(
+            g["source"].to_pylist(), g["n_tok_sum"].to_pylist(),
+            g["n_tok_count"].to_pylist())]
+
+    want = []
+    for path in sorted(set(lin["path"].to_pylist())):
+        sink_tbl = pq.read_table(path)
+        if "dead_letter" in path:
+            want += per_sink("dead_letter", -1, sink_tbl, path)
+        else:
+            mt = int(path.split("msg_type=")[1][:6], 16)
+            want += per_sink(f"0x{mt:04X}", mt, sink_tbl, path)
+    cols = ["part", "sink", "msg_type", "source", "rows", "sum_n_tok", "path"]
+    got = list(zip(*(lin[c].to_pylist() for c in cols)))
+    assert sorted(got) == sorted(want)
+    assert lin["batch_wall_ms"].null_count == 0
