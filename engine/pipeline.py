@@ -170,17 +170,7 @@ def run_partition(files: Sequence[str], out_dir: str, tag: str,
     else:
         lin = stages.fused_stage(ds, out_dir, tag, source_meta_ref,
                                  version_fallback=version_fallback)
-    # lineage is tiny (one row per sink x source x batch): collect it on the
-    # driver and write ONE file — no Ray Write operator on the hot path.
-    # collect_tables (not to_arrow_refs): the schema fetch there can
-    # re-execute this side-effecting pipeline (see its docstring)
-    tables = [t for t in collect_tables(lin) if t.num_columns]
-    lin_tbl = pa.concat_tables(tables) if tables else stages.LINEAGE_SCHEMA.empty_table()
-    d = os.path.join(out_dir, "_lineage", tag)
-    os.makedirs(d, exist_ok=True)
-    tmp = os.path.join(d, "lineage.parquet.tmp")
-    pq.write_table(lin_tbl, tmp)
-    os.replace(tmp, os.path.join(d, "lineage.parquet"))
+    _record_lineage(lin, out_dir, tag)
     # per-partition executor metrics (A4 observability: per-stage wall/cpu/
     # rows, the Ray Data analogue of the reference's per-batch progress logs)
     try:
@@ -206,22 +196,41 @@ def run_hex_job(hex_paths, metadata_path: str, out_dir: str,
     golden parsed outputs (tests/test_reference_parity.py)."""
     from engine import sources
 
-    ds = sources.read_hex_packets(hex_paths)
+    # batch_size=None: one route batch per read block, whose size
+    # read_hex_packets sets; the route stays fused into the read task
+    route = _parse_and_route(out_dir, tag, metadata_path, version_fallback)
+    lin = sources.read_hex_packets(hex_paths).map_batches(
+        route, batch_format="pyarrow", batch_size=None)
+    _record_lineage(lin, out_dir, tag)
+    return fold_aggregate(out_dir)
 
-    def run(t: pa.Table) -> pa.Table:
+
+def _parse_and_route(out_dir: str, tag: str, metadata_path: Optional[str],
+                     version_fallback: bool, keep: Optional[List[str]] = None):
+    """Batch function: ``parse_batch`` (of the ``keep`` columns present, if
+    given) then this worker's shared router."""
+    def route(t: pa.Table) -> pa.Table:
+        if keep:
+            t = t.select([c for c in keep if c in t.column_names])
         t = stages.parse_batch(t, metadata_path=metadata_path,
                                version_fallback=version_fallback)
-        router = stages.DecodeRouter(out_dir, tag, metadata_path=metadata_path,
-                                     version_fallback=version_fallback)
-        return router(t)
+        return stages.shared_router(out_dir, tag, metadata_path,
+                                    version_fallback)(t)
+    return route
 
-    lin = ds.map_batches(run, batch_format="pyarrow", batch_size=None)
+
+def _record_lineage(lin, out_dir: str, tag: str,
+                    consumed: Sequence[str] = ()) -> None:
+    """Execute the routing dataset ``lin`` once (``collect_tables``: see its
+    docstring), delete the input files it ``consumed``, then write its tiny
+    lineage on the driver as ONE ``_lineage/<tag>/lineage.parquet``."""
     tables = [t for t in collect_tables(lin) if t.num_columns]
     lin_tbl = pa.concat_tables(tables) if tables else stages.LINEAGE_SCHEMA.empty_table()
+    for f in consumed:
+        os.remove(f)
     d = os.path.join(out_dir, "_lineage", tag)
     os.makedirs(d, exist_ok=True)
     _atomic_pq(lin_tbl, os.path.join(d, "lineage.parquet"))
-    return fold_aggregate(out_dir)
 
 
 def compact_sinks(out_dir: str, max_files_per_sink: int = 4) -> Dict[str, int]:
@@ -298,29 +307,18 @@ def replay_dead_letters(out_dir: str, replay_tag: Optional[str] = None,
         replay_tag = next_replay_tag(out_dir)
     dl = sorted(glob.glob(os.path.join(out_dir, "dead_letter", "*.parquet")))
     if dl:
-        ds = ray.data.read_parquet(dl)
-
-        def rerun(t: pa.Table) -> pa.Table:
-            keep = [c for c in ("doc_id", "tokens", "n_tok", "source",
-                                "declared_len", "payload_nbytes")
-                    if c in t.column_names]
-            t = t.select(keep)
-            t = stages.parse_batch(t, metadata_path=metadata_path,
-                                   version_fallback=version_fallback)
-            router = stages.DecodeRouter(out_dir, replay_tag,
-                                         metadata_path=metadata_path,
-                                         version_fallback=version_fallback)
-            return router(t)
-
-        lin = ds.map_batches(rerun, batch_format="pyarrow", batch_size=None)
-        tables = [t for t in collect_tables(lin) if t.num_columns]
-        lin_tbl = (pa.concat_tables(tables) if tables
-                   else stages.LINEAGE_SCHEMA.empty_table())
-        for f in dl:  # replayed rows now live in their new sinks
-            os.remove(f)
-        d = os.path.join(out_dir, "_lineage", replay_tag)
-        os.makedirs(d, exist_ok=True)
-        _atomic_pq(lin_tbl, os.path.join(d, "lineage.parquet"))
+        # ~FUSED_BATCH_ROWS rows per read block and batch (batch_size=None
+        # would route each file alone: see stages.fused_stage)
+        rows = sum(pq.ParquetFile(f).metadata.num_rows for f in dl)
+        nb = max(1, min(len(dl), -(-rows // stages.FUSED_BATCH_ROWS)))
+        route = _parse_and_route(out_dir, replay_tag, metadata_path,
+                                 version_fallback, keep=[
+                                     "doc_id", "tokens", "n_tok", "source",
+                                     "declared_len", "payload_nbytes"])
+        lin = ray.data.read_parquet(dl, override_num_blocks=nb).map_batches(
+            route, batch_format="pyarrow", batch_size=stages.FUSED_BATCH_ROWS)
+        # replayed rows now live in their new sinks
+        _record_lineage(lin, out_dir, replay_tag, consumed=dl)
         # original dead-letter lineage rows are superseded: drop them so the
         # fold reflects the post-replay state (atomic rewrite — a crash
         # mid-write must not corrupt live lineage)

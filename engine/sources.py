@@ -362,17 +362,39 @@ def parse_hex_file(stem: str, data: bytes) -> pa.Table:
     return pa.concat_tables(tables) if tables else _SCHEMA.empty_table()
 
 
+#: Hex text per read block: about ``stages.FUSED_BATCH_ROWS`` packets at the
+#: ~130 bytes of ``Length:/Header:/Payload:`` text a packet takes.
+_HEX_BLOCK_BYTES = 32 * 1024 * 1024
+
+
+def _hex_num_blocks(sizes: List[int]) -> int:
+    """Read blocks for hex files of these byte sizes: one per
+    ``_HEX_BLOCK_BYTES`` of text, at least 1, at most one per file."""
+    return max(1, min(len(sizes), -(-sum(sizes) // _HEX_BLOCK_BYTES)))
+
+
 def read_hex_packets(paths):
     """Ray Data source: hex text files -> sequences-shaped Dataset.
 
     Columns: doc_id (``<file>#<i>``), tokens, n_tok, source (file stem),
     declared_len, ingest_error.  Error rows keep empty tokens and a nonzero
-    ``ingest_error`` (dead-letter style, SURVEY 1.4)."""
+    ``ingest_error`` (dead-letter style, SURVEY 1.4).
+
+    Block rule: a list of files is read as ``ceil(total bytes /
+    _HEX_BLOCK_BYTES)`` blocks, clamped to ``[1, number of files]``, so a
+    consumer that maps each block as one batch (``run_hex_job``) routes
+    about ``stages.FUSED_BATCH_ROWS`` packets per batch -- one sink file per
+    sink per ~262k packets, the Parquet job's batch contract.  A path that
+    is a directory keeps Ray's default read plan."""
     import ray
 
     if isinstance(paths, str):
         paths = [paths]
-    ds = ray.data.read_binary_files(paths, include_paths=True)
+    nb = None
+    if all(os.path.isfile(p) for p in paths):
+        nb = _hex_num_blocks([os.path.getsize(p) for p in paths])
+    ds = ray.data.read_binary_files(paths, include_paths=True,
+                                    override_num_blocks=nb)
 
     def parse(batch: pa.Table) -> pa.Table:
         tables = [parse_hex_file(os.path.splitext(os.path.basename(path))[0],

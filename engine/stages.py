@@ -327,6 +327,26 @@ class DecodeRouter:
         return self._lineage(env_all, segs)
 
 
+_router: Optional[DecodeRouter] = None
+
+
+def shared_router(out_dir: str, part_tag: str,
+                  metadata_path: Optional[str] = None,
+                  version_fallback: bool = False) -> DecodeRouter:
+    """Per-worker-process DecodeRouter for the task-pool hex and replay
+    jobs: one slot, rebuilt when the output, tag or catalog changes (the
+    catalog via :func:`shared_decoder`'s fingerprinted cache, so a
+    regenerated metadata file is never routed with a stale decoder)."""
+    global _router
+    decoder = shared_decoder(metadata_path, version_fallback)
+    r = _router
+    if r is None or (r.out_dir, r.part_tag) != (out_dir, part_tag) \
+            or r.decoder is not decoder:
+        r = _router = DecodeRouter(out_dir, part_tag, metadata_path,
+                                   version_fallback)
+    return r
+
+
 def decode_route_stage(ds, out_dir: str, part_tag: str = "p0000",
                        batch_size: int = 65536, concurrency=(1, 32),
                        version_fallback: bool = False):
@@ -391,7 +411,11 @@ def fused_stage(ds, out_dir: str, part_tag: str = "p0000", source_meta_ref=None,
     into the parquet read, ``batch_size=None`` means "whatever micro-batch
     the reader streams" (~10k rows), which multiplies the per-batch cost
     (one parquet file per live sink per batch) ~40x — measured as an
-    8.6s-vs-1.3s per-task difference on 500k-row read tasks."""
+    8.6s-vs-1.3s per-task difference on 500k-row read tasks.  The hex job
+    keeps the same contract another way: ``sources.read_hex_packets``
+    sizes its read blocks by bytes (``sources._HEX_BLOCK_BYTES``, about
+    this many packets) and ``run_hex_job`` routes each block as one batch,
+    which keeps the route fused into the read task."""
     def fused(t: pa.Table) -> pa.Table:
         st = _FusedState.get(out_dir, part_tag, source_meta_ref, version_fallback)
         return st.router(st.enricher(parse_batch(

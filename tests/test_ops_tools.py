@@ -161,3 +161,52 @@ def test_replay_dead_letters_with_updated_catalog(job_dir, sf_small, tmp_path):
     got = sum(n for m, n in zip(agg["msg_type"].to_pylist(),
                                 agg["n_rows"].to_pylist()) if m == 0x2001)
     assert got == before_counts["0x2001"] + v99
+
+
+def test_replay_routes_several_dead_letter_files_as_one_batch(job_dir, tmp_path):
+    """The dead-letter files of a 4-partition job hold far fewer than
+    FUSED_BATCH_ROWS rows, so replay reads them as one block and writes one
+    file per recovered sink; rows, agg.parquet and sink_counts.json equal
+    routing each dead-letter file alone."""
+    import shutil
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+    from engine import stages
+    from engine.pipeline import fold_aggregate, replay_dead_letters
+    dl = sorted(glob.glob(os.path.join(job_dir, "dead_letter", "*.parquet")))
+    assert len(dl) > 1
+    mdp = _patch_metadata(tmp_path, "0x2001", 99, "patch.json")
+
+    ref = str(tmp_path / "per_file")
+    shutil.copytree(os.path.join(job_dir, "_lineage"),
+                    os.path.join(ref, "_lineage"))
+    for lf in glob.glob(os.path.join(ref, "_lineage", "*", "lineage.parquet")):
+        t = pq.read_table(lf)
+        pq.write_table(t.filter(pc.not_equal(t["sink"], "dead_letter")), lf)
+    keep = ["doc_id", "tokens", "n_tok", "source", "declared_len",
+            "payload_nbytes"]
+    lin = [stages.DecodeRouter(ref, "replay0", metadata_path=mdp)(
+        stages.parse_batch(pq.read_table(f).select(
+            [c for c in keep if c in pq.read_schema(f).names]),
+            metadata_path=mdp)) for f in dl]
+    os.makedirs(os.path.join(ref, "_lineage", "replay0"))
+    pq.write_table(pa.concat_tables(lin),
+                   os.path.join(ref, "_lineage", "replay0", "lineage.parquet"))
+    want = fold_aggregate(ref)
+
+    agg = replay_dead_letters(job_dir, metadata_path=mdp)
+    recovered = sorted({os.path.dirname(f) for f in glob.glob(
+        os.path.join(job_dir, "**", "replay0-*.parquet"), recursive=True)})
+    assert [os.path.relpath(d, job_dir) for d in recovered] == [
+        "dead_letter", os.path.join("msg_type=0x2001", "version=99")]
+    for d in recovered:
+        files = glob.glob(os.path.join(d, "*.parquet"))
+        assert len(files) == 1
+        rel = os.path.relpath(d, job_dir)
+        assert pq.read_table(files[0]).sort_by("doc_id").equals(
+            pads.dataset(os.path.join(ref, rel)).to_table().sort_by("doc_id"))
+    assert agg.equals(want)
+    with open(os.path.join(job_dir, "sink_counts.json")) as a, \
+            open(os.path.join(ref, "sink_counts.json")) as b:
+        assert json.load(a) == json.load(b)

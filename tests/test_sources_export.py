@@ -502,3 +502,85 @@ def test_parse_hex_file_chunk_boundaries():
     assert errs[k] == sources.INGEST_MALFORMED
     assert (np.delete(errs, k) == sources.INGEST_OK).all()
     assert got["n_tok"][k + 3].as_py() == 4 + sources._CHUNK_BYTES // 8 - 4
+
+
+def test_hex_num_blocks_rule():
+    """Read blocks for a hex job: one per ``_HEX_BLOCK_BYTES`` of text,
+    never fewer than 1, never more than one per file."""
+    B = sources._HEX_BLOCK_BYTES
+    assert sources._hex_num_blocks([0]) == 1
+    assert sources._hex_num_blocks([0] * 16) == 1
+    assert sources._hex_num_blocks([1] * 16) == 1
+    assert sources._hex_num_blocks([B]) == 1
+    assert sources._hex_num_blocks([5 * B]) == 1       # capped at 1 file
+    assert sources._hex_num_blocks([3 * B, 3 * B]) == 2
+    for k in (1, 2, 3):                                 # steps at k * B
+        sizes = [k * B // 16] * 16
+        sizes[0] += k * B - sum(sizes)
+        assert sources._hex_num_blocks(sizes) == k
+        sizes[0] += 1
+        assert sources._hex_num_blocks(sizes) == k + 1
+
+
+def _sink_tables(out: str):
+    """Every sink directory's rows, sorted by doc_id, as Arrow IPC bytes."""
+    files = glob.glob(os.path.join(out, "msg_type=*", "version=*", "*.parquet")) \
+        + glob.glob(os.path.join(out, "dead_letter", "*.parquet"))
+    out_tables = {}
+    for d in sorted({os.path.dirname(f) for f in files}):
+        t = pads.dataset(d).to_table().sort_by("doc_id").combine_chunks()
+        sink = pa.BufferOutputStream()
+        with pa.ipc.new_stream(sink, t.schema) as w:
+            w.write_table(t)
+        out_tables[os.path.relpath(d, out)] = sink.getvalue().to_pybytes()
+    return out_tables
+
+
+def test_hex_job_writes_one_file_per_sink(ray_session, sf_small, tmp_path):
+    """16 small hex files are one read block, so each sink gets exactly one
+    file; its rows equal those of routing each file alone in process, and
+    so do agg.parquet and sink_counts.json."""
+    import pyarrow.parquet as pq
+    from engine import ref_metadata, stages
+    from engine.pipeline import fold_aggregate, run_hex_job
+    mdp = str(tmp_path / "metadata.json")
+    with open(mdp, "w") as f:
+        json.dump(ref_metadata.generate_metadata_json(), f)
+    toks = [tk for tk in pads.dataset(f"{sf_small}/sequences").to_table()
+            ["tokens"].to_pylist() if len(tk) >= 4]
+    files = []
+    for i in range(16):
+        p = tmp_path / "hex" / f"dev-{i:02d}.hex"
+        p.parent.mkdir(exist_ok=True)
+        p.write_text("\n".join(sources.render_hex_packet(tk)
+                               for tk in toks[i::16]))
+        files.append(str(p))
+
+    out = str(tmp_path / "job")
+    agg = run_hex_job(files, mdp, out)
+    counts = {}
+    for f in glob.glob(os.path.join(out, "**", "*.parquet"), recursive=True):
+        if not os.path.relpath(f, out).startswith(("_lineage", "agg")):
+            d = os.path.dirname(f)
+            counts[d] = counts.get(d, 0) + 1
+    assert len(counts) > 10 and set(counts.values()) == {1}
+
+    ref = str(tmp_path / "per_file")
+    lin = []
+    for f in files:
+        with open(f, "rb") as fh:
+            t = sources.parse_hex_file(os.path.basename(f)[:-4], fh.read())
+        lin.append(stages.DecodeRouter(ref, metadata_path=mdp)(
+            stages.parse_batch(t, metadata_path=mdp)))
+    os.makedirs(os.path.join(ref, "_lineage", "p0000"))
+    pq.write_table(pa.concat_tables(lin),
+                   os.path.join(ref, "_lineage", "p0000", "lineage.parquet"))
+    want = fold_aggregate(ref)
+    assert max(len(glob.glob(os.path.join(ref, d, "*.parquet")))
+               for d in _sink_tables(ref)) > 1  # the old contract: many files
+    assert _sink_tables(out) == _sink_tables(ref)
+    assert agg.equals(want)
+    assert pq.read_table(os.path.join(out, "agg.parquet")).equals(want)
+    with open(os.path.join(out, "sink_counts.json")) as a, \
+            open(os.path.join(ref, "sink_counts.json")) as b:
+        assert json.load(a) == json.load(b)
